@@ -23,6 +23,9 @@ pub struct RunMeta {
     /// or `sharded:N`. Reports are bit-identical across variants, so
     /// this is provenance, not a result axis.
     pub engine: String,
+    /// Cores the process may use (`available_parallelism`): wall
+    /// times in a report are only comparable at the same count.
+    pub nproc: usize,
 }
 
 /// Parse the pinned channel out of the committed toolchain file.
@@ -74,14 +77,15 @@ impl RunMeta {
             git_sha: git_sha(),
             smoke: crate::experiments::smoke(),
             engine: crate::experiments::engine_label(crate::experiments::engine_from_env()),
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 
     /// One-line report header, printed before every experiment body.
     pub fn header(&self) -> String {
         format!(
-            "# run-meta: seed={} toolchain={} git={} smoke={} engine={}",
-            self.seed, self.toolchain, self.git_sha, self.smoke, self.engine
+            "# run-meta: seed={} toolchain={} git={} smoke={} engine={} nproc={}",
+            self.seed, self.toolchain, self.git_sha, self.smoke, self.engine, self.nproc
         )
     }
 
@@ -93,6 +97,7 @@ impl RunMeta {
         rec.set_meta("git_sha", self.git_sha.clone());
         rec.set_meta("smoke", self.smoke.to_string());
         rec.set_meta("engine", self.engine.clone());
+        rec.set_meta("nproc", self.nproc.to_string());
     }
 }
 

@@ -502,7 +502,7 @@ impl ControlLp {
     /// upload, or shed to the resilience layer.
     fn route_request(&mut self, now: SimTime, req: usize) {
         let kix = kind_ix(self.reqs[req].kind);
-        let aid = self.aids[kix].clone();
+        let aid = &self.aids[kix];
         let warm: Vec<usize> = self.warm_map[kix]
             .iter()
             .copied()
@@ -510,7 +510,7 @@ impl ControlLp {
             .collect();
         let hosts = &self.hosts;
         let admission = &self.admission;
-        let decision = self.router.route(&aid, &warm, |h| {
+        let decision = self.router.route(aid, &warm, |h| {
             hosts[h].status == HostStatus::Active && admission.has_room(h)
         });
         match decision {

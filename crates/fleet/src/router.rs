@@ -49,6 +49,12 @@ pub struct Router {
     /// (ring point, host), sorted by point.
     points: Vec<(u64, usize)>,
     vnodes: usize,
+    /// Distinct hosts on the ring: a walk stops once it has yielded
+    /// this many.
+    hosts: usize,
+    /// Highest host index + 1 (geo cells use global indices): the size
+    /// of a walk's dedup table.
+    span: usize,
 }
 
 /// FNV-1a over a byte string, with a final avalanche so vnode points
@@ -73,6 +79,8 @@ impl Router {
         Router {
             points: Vec::new(),
             vnodes,
+            hosts: 0,
+            span: 0,
         }
     }
 
@@ -82,39 +90,37 @@ impl Router {
     pub fn rebuild(&mut self, routable: &BTreeSet<usize>) {
         self.points.clear();
         for &h in routable {
+            let mut key = [0u8; 16];
+            key[..8].copy_from_slice(&(h as u64).to_le_bytes());
             for v in 0..self.vnodes {
-                let key = [h.to_le_bytes(), v.to_le_bytes()].concat();
+                key[8..].copy_from_slice(&(v as u64).to_le_bytes());
                 self.points.push((hash_bytes(&key, 0x9e37_79b9), h));
             }
         }
         self.points.sort_unstable();
+        self.hosts = routable.len();
+        self.span = routable.last().map_or(0, |&h| h + 1);
     }
 
     /// Number of distinct hosts on the ring.
     pub fn host_count(&self) -> usize {
-        self.points
-            .iter()
-            .map(|&(_, h)| h)
-            .collect::<BTreeSet<_>>()
-            .len()
+        self.hosts
     }
 
     /// Hosts in ring order starting at `key`'s arc, deduplicated —
-    /// the spillover order.
-    fn ring_walk(&self, key: u64) -> Vec<usize> {
-        if self.points.is_empty() {
-            return Vec::new();
-        }
-        let start = self.points.partition_point(|&(p, _)| p < key);
-        let mut seen = BTreeSet::new();
-        let mut order = Vec::new();
-        for i in 0..self.points.len() {
-            let (_, h) = self.points[(start + i) % self.points.len()];
-            if seen.insert(h) {
-                order.push(h);
-            }
-        }
-        order
+    /// the spillover order. Lazy: a caller that stops at the first
+    /// admitting host touches only the points up to it, and a full
+    /// walk ends as soon as every host has been yielded.
+    fn ring_walk(&self, key: u64) -> impl Iterator<Item = usize> + '_ {
+        let (before, from) = self
+            .points
+            .split_at(self.points.partition_point(|&(p, _)| p < key));
+        let mut seen = vec![false; self.span];
+        from.iter()
+            .chain(before)
+            .map(|&(_, h)| h)
+            .filter(move |&h| !std::mem::replace(&mut seen[h], true))
+            .take(self.hosts)
     }
 
     /// Route one request.
@@ -139,8 +145,7 @@ impl Router {
                 reason: RouteReason::Affinity,
             });
         }
-        let order = self.ring_walk(hash_bytes(aid.0.as_bytes(), 0));
-        for (i, h) in order.into_iter().enumerate() {
+        for (i, h) in self.ring_walk(hash_bytes(aid.0.as_bytes(), 0)).enumerate() {
             if admissible(h) {
                 return Some(RouteDecision {
                     host: h,
@@ -165,6 +170,116 @@ mod tests {
         let mut r = Router::new(64);
         r.rebuild(&hosts.iter().copied().collect());
         r
+    }
+
+    /// The eager walk the lazy one replaced: every ring point, deduped
+    /// through a `BTreeSet`. The reference for the oracle properties.
+    fn reference_walk(r: &Router, key: u64) -> Vec<usize> {
+        if r.points.is_empty() {
+            return Vec::new();
+        }
+        let start = r.points.partition_point(|&(p, _)| p < key);
+        let mut seen = BTreeSet::new();
+        let mut order = Vec::new();
+        for i in 0..r.points.len() {
+            let (_, h) = r.points[(start + i) % r.points.len()];
+            if seen.insert(h) {
+                order.push(h);
+            }
+        }
+        order
+    }
+
+    /// `route` over [`reference_walk`], logging every admissibility
+    /// query in the order it was asked.
+    fn reference_route(
+        r: &Router,
+        aid: &Aid,
+        warm: &[usize],
+        admissible: impl Fn(usize) -> bool,
+        asked: &mut Vec<usize>,
+    ) -> Option<(usize, RouteReason)> {
+        let mut ask = |h| {
+            asked.push(h);
+            admissible(h)
+        };
+        if let Some(&h) = warm.iter().find(|&&h| ask(h)) {
+            return Some((h, RouteReason::Affinity));
+        }
+        let order = reference_walk(r, hash_bytes(aid.0.as_bytes(), 0));
+        for (i, h) in order.into_iter().enumerate() {
+            if ask(h) {
+                let reason = if i == 0 {
+                    RouteReason::Hash
+                } else {
+                    RouteReason::Spill
+                };
+                return Some((h, reason));
+            }
+        }
+        None
+    }
+
+    /// Route the same request through the router and the reference
+    /// with an admissibility mask drawn from `mask_seed`: a host admits
+    /// with probability `density / 4` (0 sheds everything). Both the
+    /// decision and the sequence of admissibility queries must match.
+    fn check_against_reference(
+        hosts: &BTreeSet<usize>,
+        app: u64,
+        warm: &[usize],
+        mask_seed: u64,
+        density: u64,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        use proptest::prelude::*;
+        let mut r = Router::new(64);
+        r.rebuild(hosts);
+        let aid = aid_of(&format!("com.prop.app{app}"));
+        let admits = |h: usize| hash_bytes(&(h as u64).to_le_bytes(), mask_seed) % 4 < density;
+        let mut want_asked = Vec::new();
+        let want = reference_route(&r, &aid, warm, admits, &mut want_asked);
+        let mut got_asked = Vec::new();
+        let got = r
+            .route(&aid, warm, |h| {
+                got_asked.push(h);
+                admits(h)
+            })
+            .map(|d| (d.host, d.reason));
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(got_asked, want_asked);
+        prop_assert_eq!(r.host_count(), hosts.len());
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Sparse, non-contiguous host sets (geo cells hold global
+        /// indices): the lazy walk routes exactly like the eager one.
+        #[test]
+        fn lazy_walk_routes_like_the_reference(
+            hosts in proptest::collection::btree_set(0usize..600, 0..40),
+            app in 0u64..10_000,
+            warm in proptest::collection::vec(0usize..600, 0..4),
+            mask_seed in proptest::prelude::any::<u64>(),
+            density in 0u64..5,
+        ) {
+            check_against_reference(&hosts, app, &warm, mask_seed, density)?;
+        }
+
+        /// 256 contiguous hosts from an arbitrary base, the overload
+        /// shape: with density 0 every request sheds after asking each
+        /// host once, in ring order.
+        #[test]
+        fn lazy_walk_matches_the_reference_on_256_hosts(
+            base in 0usize..300,
+            app in 0u64..10_000,
+            mask_seed in proptest::prelude::any::<u64>(),
+            density in 0u64..2,
+        ) {
+            let hosts: BTreeSet<usize> = (base..base + 256).collect();
+            check_against_reference(&hosts, app, &[], mask_seed, density)?;
+        }
     }
 
     #[test]

@@ -432,7 +432,7 @@ impl GeoControlLp {
     /// upload — or shed to the resilience layer.
     fn route_request(&mut self, now: SimTime, req: usize) {
         let kix = kind_ix(self.reqs[req].kind);
-        let aid = self.aids[kix].clone();
+        let aid = &self.aids[kix];
         let region = self.reqs[req].region;
         let warm_lists: Vec<Vec<usize>> = (0..self.topo.n_cells())
             .map(|cell| {
@@ -448,9 +448,9 @@ impl GeoControlLp {
         let decision = self.geo_router.route(
             &self.topo,
             region,
-            &aid,
+            aid,
             &self.routers,
-            |cell| warm_lists[cell].clone(),
+            |cell| warm_lists[cell].as_slice(),
             |g| hosts[g].status == HostStatus::Active && admission.has_room(g),
         );
         match decision {

@@ -68,19 +68,19 @@ impl GeoRouter {
     /// Route one request: walk cells in preference order, asking each
     /// cell's own ring for a placement; the first cell that admits
     /// wins. `None` means every host in every region refused.
-    pub fn route(
+    pub fn route<W: AsRef<[usize]>>(
         &self,
         topo: &Topology,
         region: usize,
         aid: &Aid,
         cell_routers: &[Router],
-        cell_warm: impl Fn(usize) -> Vec<usize>,
+        cell_warm: impl Fn(usize) -> W,
         mut admissible: impl FnMut(usize) -> bool,
     ) -> Option<GeoDecision> {
-        let order = self.cell_order(topo, region, |cell| !cell_warm(cell).is_empty());
+        let order = self.cell_order(topo, region, |cell| !cell_warm(cell).as_ref().is_empty());
         for cell in order {
             let warm = cell_warm(cell);
-            if let Some(d) = cell_routers[cell].route(aid, &warm, &mut admissible) {
+            if let Some(d) = cell_routers[cell].route(aid, warm.as_ref(), &mut admissible) {
                 return Some(GeoDecision {
                     cell,
                     host: d.host,

@@ -94,7 +94,8 @@ pub trait Lp {
     fn next_time(&mut self) -> Option<SimTime>;
 
     /// Process every pending event strictly before `bound`, sending
-    /// cross-LP messages through `out`.
+    /// cross-LP messages through `out`. With no event before `bound`
+    /// this must do nothing: the serial runner skips such LPs.
     fn run_window(&mut self, bound: SimTime, out: &mut Outbox<Self::Msg>);
 
     /// Accept a delivered envelope: schedule it in the local queue at
@@ -168,23 +169,32 @@ where
 {
     let mut lps: Vec<L> = (0..n_lps).map(&build).collect();
     let mut outboxes: Vec<Outbox<L::Msg>> = (0..n_lps).map(|i| Outbox::new(i, window)).collect();
+    // Each LP's next event time. A queue changes only in its own
+    // `run_window` and `accept`, so refreshing after those keeps it
+    // exact without peeking every LP every window.
+    let mut next: Vec<Option<SimTime>> = lps.iter_mut().map(|l| l.next_time()).collect();
     let mut pending: Vec<Envelope<L::Msg>> = Vec::new();
     loop {
         // Deliver last window's envelopes in canonical order.
         sort_for_delivery(&mut pending);
         for env in pending.drain(..) {
-            lps[env.dst].accept(env.at, env.src, env.msg);
+            let lp = &mut lps[env.dst];
+            lp.accept(env.at, env.src, env.msg);
+            next[env.dst] = lp.next_time();
         }
         // Next boundary from the global minimum next-event time.
-        let Some(t_min) = lps.iter_mut().filter_map(|l| l.next_time()).min() else {
+        let Some(t_min) = next.iter().flatten().min().copied() else {
             break;
         };
         let bound = next_boundary(t_min, window);
+        // An LP with nothing before the bound would run an empty
+        // window; skip it.
         for (i, lp) in lps.iter_mut().enumerate() {
-            lp.run_window(bound, &mut outboxes[i]);
-        }
-        for ob in &mut outboxes {
-            pending.append(&mut ob.drain());
+            if next[i].is_some_and(|t| t < bound) {
+                lp.run_window(bound, &mut outboxes[i]);
+                next[i] = lp.next_time();
+                pending.append(&mut outboxes[i].drain());
+            }
         }
     }
     lps.into_iter()
@@ -406,6 +416,87 @@ mod tests {
             assert_eq!(
                 serial,
                 run_ring(5, 400, ShardMode::Threads(threads)),
+                "threads={threads} diverged from serial"
+            );
+        }
+    }
+
+    /// Toy LP for sparse activity: each pop folds `(now, payload)` into
+    /// a digest, forwards to a payload-chosen LP while hops remain, and
+    /// sometimes re-arms itself tens of windows ahead. The last LP
+    /// starts empty and wakes only when an envelope reaches it.
+    struct SparseLp {
+        idx: usize,
+        n: usize,
+        q: EventQueue<u64>,
+        digest: u64,
+        pops: u64,
+        first: Option<SimTime>,
+    }
+
+    impl Lp for SparseLp {
+        type Msg = u64;
+        fn next_time(&mut self) -> Option<SimTime> {
+            self.q.peek_time()
+        }
+        fn run_window(&mut self, bound: SimTime, out: &mut Outbox<u64>) {
+            while self.q.peek_time().is_some_and(|t| t < bound) {
+                let (now, v) = self.q.pop().unwrap();
+                self.first.get_or_insert(now);
+                self.pops += 1;
+                self.digest = self.digest.rotate_left(9) ^ v.wrapping_mul(now.as_micros() | 1);
+                if v == 0 {
+                    continue;
+                }
+                out.send(now, (v as usize * 7 + self.idx) % self.n, v - 1);
+                if v % 3 == 0 {
+                    let later = SimDuration::from_millis(20 + v % 40);
+                    self.q.schedule(now.saturating_add(later), v / 2);
+                }
+            }
+        }
+        fn accept(&mut self, at: SimTime, _src: usize, msg: u64) {
+            self.q.schedule(at, msg);
+        }
+    }
+
+    fn run_sparse(n: usize, mode: ShardMode) -> Vec<(u64, u64, Option<SimTime>)> {
+        run_sharded(
+            n,
+            SimDuration::from_millis(1),
+            mode,
+            |i| {
+                let mut q = EventQueue::new();
+                if i + 1 < n && i % 3 == 0 {
+                    q.schedule(SimTime::from_micros(1 + 37_000 * i as u64), 40 + i as u64);
+                }
+                SparseLp {
+                    idx: i,
+                    n,
+                    q,
+                    digest: 0,
+                    pops: 0,
+                    first: None,
+                }
+            },
+            |_, lp| (lp.digest, lp.pops, lp.first),
+        )
+    }
+
+    #[test]
+    fn serial_skips_idle_lps_without_changing_the_run() {
+        let n = 24;
+        let serial = run_sparse(n, ShardMode::Serial);
+        // Most LPs start idle; the last one has no event until an
+        // envelope wakes it, well after the run began.
+        let (_, pops, first) = serial[n - 1];
+        assert!(pops > 0, "the empty LP was never woken");
+        assert!(first.expect("woken") > SimTime::from_micros(2_000));
+        assert!(serial.iter().all(|&(_, pops, _)| pops > 0));
+        for threads in [1usize, 2, 3, 7, n] {
+            assert_eq!(
+                serial,
+                run_sparse(n, ShardMode::Threads(threads)),
                 "threads={threads} diverged from serial"
             );
         }

@@ -21,6 +21,7 @@ use obsv::{attrs, AttrValue, Recorder, SpanId, Subsystem};
 use simkit::resource::OutOfMemory;
 use simkit::{MemoryPool, SimDuration};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
 /// Identifier of a provisioned runtime instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -109,20 +110,38 @@ pub struct CloudHost {
     rec: Recorder,
 }
 
+/// The Android base image every host starts from, built once per
+/// process: the customized Shared Resource Layer, the container rootfs
+/// bytes and the full image bytes.
+struct BaseImage {
+    shared_layer: FsImage,
+    container_rootfs_bytes: u64,
+    full_image_bytes: u64,
+}
+
+fn base_image() -> &'static BaseImage {
+    static BASE: OnceLock<BaseImage> = OnceLock::new();
+    BASE.get_or_init(|| {
+        let full = android_x86_44_image();
+        BaseImage {
+            shared_layer: customize(&full).0,
+            container_rootfs_bytes: full
+                .partition(|_, f| f.category.required_in_container())
+                .0
+                .total_bytes(),
+            full_image_bytes: full.total_bytes(),
+        }
+    })
+}
+
 impl CloudHost {
-    /// Bring up a host on `spec`, publishing the customized Android
-    /// image as the Shared Resource Layer.
+    /// Bring up a host on `spec`, publishing its own copy of the
+    /// customized Android image as the Shared Resource Layer.
     pub fn new(spec: HostSpec) -> Self {
         let kernel = Kernel::new(spec);
-        let full = android_x86_44_image();
-        let (custom, _) = customize(&full);
-        let container_rootfs_bytes = full
-            .partition(|_, f| f.category.required_in_container())
-            .0
-            .total_bytes();
-        let full_image_bytes = full.total_bytes();
+        let base = base_image();
         let mut layers = LayerStore::new();
-        let shared_layer = layers.publish("shared-resource-layer", custom);
+        let shared_layer = layers.publish("shared-resource-layer", base.shared_layer.clone());
         CloudHost {
             kernel,
             layers,
@@ -130,8 +149,8 @@ impl CloudHost {
             // Cap the offloading I/O layer at 2 GiB of the 16 GiB DRAM.
             tmpfs: Tmpfs::new(2 * 1024 * 1024 * 1024),
             memory: MemoryPool::new(spec.memory_bytes),
-            full_image_bytes,
-            container_rootfs_bytes,
+            full_image_bytes: base.full_image_bytes,
+            container_rootfs_bytes: base.container_rootfs_bytes,
             instances: BTreeMap::new(),
             next_id: 0,
             rec: Recorder::disabled(),
@@ -511,6 +530,36 @@ mod tests {
 
     fn host() -> CloudHost {
         CloudHost::new(HostSpec::paper_server())
+    }
+
+    #[test]
+    fn hosts_built_concurrently_share_one_base_image() {
+        let full = android_x86_44_image();
+        let want = (
+            customize(&full).0.total_bytes(),
+            full.partition(|_, f| f.category.required_in_container())
+                .0
+                .total_bytes(),
+            full.total_bytes(),
+        );
+        let threads = 4;
+        let start = std::sync::Barrier::new(threads);
+        let got: Vec<(u64, u64, u64)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        let mut h = host();
+                        let (wo, _) = h.provision(RuntimeClass::CacUnoptimized).unwrap();
+                        let (vm, _) = h.provision(RuntimeClass::AndroidVm).unwrap();
+                        let excl = |id| h.instance(id).unwrap().exclusive_disk_bytes;
+                        (h.shared_layer_bytes(), excl(wo), excl(vm))
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert_eq!(got, vec![want; threads]);
     }
 
     #[test]
