@@ -6,11 +6,13 @@
 //!
 //! Default address is `127.0.0.1:7117`. With `--probe` the server
 //! binds an ephemeral port, submits one request per kernel through a
-//! real TCP client, verifies every returned checksum against local
-//! re-execution, prints the timing breakdowns, and exits — the CI
-//! smoke for the end-to-end submit → route/admit → execute → copy-back
-//! loop. Without it the server runs until killed.
-use exec::serve::{serve, submit, OffloadRequest};
+//! real TCP client, then the same four pipelined in one write on one
+//! connection, verifies every returned checksum (in request order)
+//! against local re-execution, prints the timing breakdowns and each
+//! pipelined reply's round trip, and exits — the CI smoke for the
+//! end-to-end submit → route/admit → execute → copy-back loop. Without
+//! it the server runs until killed.
+use exec::serve::{serve, submit, submit_pipelined, OffloadRequest};
 use exec::{execute_kernel, SizeClass};
 use fleet::FleetHandler;
 use workloads::WorkloadKind;
@@ -45,26 +47,48 @@ fn main() {
 
     if probe {
         let at = server.addr();
-        for (i, kind) in WorkloadKind::ALL.into_iter().enumerate() {
-            let req = OffloadRequest {
+        let reqs: Vec<OffloadRequest> = WorkloadKind::ALL
+            .into_iter()
+            .enumerate()
+            .map(|(i, kind)| OffloadRequest {
                 kind,
                 size: SizeClass::Small,
                 seed: 0x2017_0529 + i as u64,
-            };
-            let resp = submit(at, &req).expect("probe round trip");
-            assert!(resp.ok, "{}: {}", kind.label(), resp.error);
-            let local = execute_kernel(req.kind, req.size, req.seed).checksum;
-            assert_eq!(resp.checksum, local, "{} checksum mismatch", kind.label());
+            })
+            .collect();
+        let local: Vec<u64> = reqs
+            .iter()
+            .map(|r| execute_kernel(r.kind, r.size, r.seed).checksum)
+            .collect();
+        for (req, &want) in reqs.iter().zip(&local) {
+            let label = req.kind.label();
+            let resp = submit(at, req).expect("probe round trip");
+            assert!(resp.ok, "{label}: {}", resp.error);
+            assert_eq!(resp.checksum, want, "{label} checksum mismatch");
             println!(
                 "probe {:<10} host={} queue={}us exec={}us checksum={:016x} ok",
-                kind.label(),
+                label, resp.host, resp.queue_micros, resp.exec_micros, resp.checksum
+            );
+        }
+        let replies = submit_pipelined(at, &reqs).expect("pipelined probe");
+        for ((req, &want), (resp, rtt)) in reqs.iter().zip(&local).zip(&replies) {
+            let label = req.kind.label();
+            assert!(resp.ok, "pipelined {label}: {}", resp.error);
+            assert_eq!(
+                resp.checksum, want,
+                "pipelined {label}: reply out of order or wrong"
+            );
+            println!(
+                "pipelined {:<10} host={} rtt={}us checksum={:016x} ok",
+                label,
                 resp.host,
-                resp.queue_micros,
-                resp.exec_micros,
+                rtt.as_micros(),
                 resp.checksum
             );
         }
-        println!("# exec_serve: probe passed (4/4 checksums verified)");
+        println!(
+            "# exec_serve: probe passed (4/4 checksums verified, then 4/4 pipelined in order)"
+        );
         server.shutdown();
         return;
     }

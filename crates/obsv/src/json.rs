@@ -57,11 +57,23 @@ impl Value {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The reader
+/// recurses once per level, so without a bound a line of nested `[`
+/// from an untrusted peer would overflow the stack and abort the
+/// process; every document this workspace writes nests a few levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document. Errors carry a byte offset and a
-/// short reason.
+/// short reason. Documents nested deeper than [`MAX_DEPTH`] are
+/// rejected.
 pub fn parse(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        text,
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -72,8 +84,11 @@ pub fn parse(text: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -111,8 +126,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -120,6 +135,17 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parse one array or object with `f`, one level deeper.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, String> {
@@ -213,10 +239,14 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
+                    // Consume one UTF-8 scalar. `pos` sits on a char
+                    // boundary here: it only ever advances past ASCII
+                    // bytes, whole scalars, or hex digits it checked.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -279,6 +309,25 @@ mod tests {
         assert!(parse("{\"a\":1} extra").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("tru").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse(&nest(MAX_DEPTH + 1)).unwrap_err().contains("nesting"));
+        let objects = format!(
+            "{}1{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).unwrap_err().contains("nesting"));
+        // Deep enough to overflow any thread stack if the reader
+        // recursed once per level.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        // Depth is nesting, not a count of containers: siblings reset it.
+        let wide = format!("[{}]", vec![nest(MAX_DEPTH - 1); 300].join(","));
+        assert!(parse(&wide).is_ok());
     }
 
     #[test]
